@@ -4,21 +4,24 @@ actually buy raw VM speed — without moving a single observable count.
 
 Three checks on the paper's hottest workload (cfrac at ``O``/ss10):
 
-* **identity** — a PGO-fused run must be bit-identical to the plain run
-  in every observable (exit code, instructions, cycles, output,
-  collections, pointer checks); a PGO+sink run must keep exit code and
-  output and must not *increase* collections.  Violations exit 2: a
-  count mismatch is a correctness bug, not a perf regression.
+* **identity** — a PGO-fused run and a run under the tiered default
+  (``superinst=None``) must each be bit-identical to the plain run —
+  the explicit unfused reference, an empty plan — in every observable
+  (exit code, instructions, cycles, output, collections, pointer
+  checks); a PGO+sink run must keep exit code and output and must not
+  *increase* collections.  Violations exit 2: a count mismatch is a
+  correctness bug, not a perf regression.
 * **allocation sinking payoff** — the ``scratch`` workload (short-lived
   constant-size buffers) must show strictly fewer collections with the
   pass applied.  Exit 1 on violation.
 * **wall clock** — interleaved min-of-N (default 3) wall times of the
   interpreter loop, plain vs PGO+sink, each sample a fresh subprocess
   child printing a JSON line; the speedup must reach --min-speedup
-  (default 1.5).  Interleaving cancels slow drift (thermal, noisy
-  neighbors); min-of-N cancels one-off stalls.  Exit 1 on violation,
-  or pass --skip-wall (e.g. on known-noisy runners) to print SKIP and
-  gate only on identity + sinking.
+  (default 1.5).  The tiered default is sampled alongside; its speedup
+  over plain is recorded but not gated.  Interleaving cancels slow
+  drift (thermal, noisy neighbors); min-of-N cancels one-off stalls.
+  Exit 1 on violation, or pass --skip-wall (e.g. on known-noisy
+  runners) to print SKIP and gate only on identity + sinking.
 
 Appends one record to --out (default BENCH_vm2.json) so the speedup has
 a history, like BENCH_exec.json / BENCH_obs.json.
@@ -42,7 +45,7 @@ sys.path.insert(0, os.path.join(
 from repro.machine.driver import CompileConfig, compile_source  # noqa: E402
 from repro.machine.models import MODELS  # noqa: E402
 from repro.machine.superinst import (  # noqa: E402
-    load_pgo, plan_from_profile, plan_from_pgo, save_pgo,
+    SuperinstPlan, load_pgo, plan_from_profile, plan_from_pgo, save_pgo,
 )
 from repro.machine.vm import VM  # noqa: E402
 from repro.obs.vmprof import VMProfile  # noqa: E402
@@ -53,6 +56,8 @@ WORKLOAD = "cfrac"
 SINK_WORKLOAD = "scratch"
 CONFIG = "O"
 MODEL = "ss10"
+# The unfused reference: superinst=None would tier hot runs up.
+UNFUSED = SuperinstPlan(frozenset())
 
 
 def run_key(result) -> tuple:
@@ -79,10 +84,12 @@ def child_main(mode: str, pgo_path: str) -> int:
     """One timing sample: compile outside the clock, time only the
     interpreter loop, print a JSON line."""
     compiled, model = compile_workload(WORKLOAD)
-    plan = None
+    plan = UNFUSED
     if mode == "pgo":
         plan = plan_from_pgo(load_pgo(pgo_path))
         sink_program(compiled.asm)
+    elif mode == "tiered":
+        plan = None
     vm = VM(compiled.asm, model, superinst=plan)
     t0 = time.perf_counter()
     result = vm.run()
@@ -114,6 +121,13 @@ def check_identity() -> tuple[list[str], dict]:
         mismatches.append(
             f"{WORKLOAD}: PGO-fused observables differ from plain: "
             f"{run_key(fused)} != {run_key(base)}")
+    tiered_vm = VM(compiled.asm, model)
+    tiered = tiered_vm.run()
+    tiered_identity = run_key(tiered) == run_key(base)
+    if not tiered_identity:
+        mismatches.append(
+            f"{WORKLOAD}: tiered observables differ from plain: "
+            f"{run_key(tiered)} != {run_key(base)}")
 
     sunk_prog, _ = compile_workload(WORKLOAD)
     sink_stats = sink_program(sunk_prog.asm)
@@ -130,6 +144,8 @@ def check_identity() -> tuple[list[str], dict]:
     counters = {
         "plan_blocks": len(plan.blocks),
         "plan_digest": plan.digest(),
+        "tiered_runs": tiered_vm.superinst_stats.runs,
+        "tiered_identity_ok": tiered_identity,
         "base_cycles": base.cycles,
         "base_collections": base.collections,
         "pgo_sink_cycles": both.cycles,
@@ -179,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "BENCH_vm2.json"))
     ap.add_argument("--label", default="")
-    ap.add_argument("--child", default=None, choices=("plain", "pgo"),
+    ap.add_argument("--child", default=None,
+                    choices=("plain", "pgo", "tiered"),
                     help=argparse.SUPPRESS)
     ap.add_argument("--pgo-file", default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -192,7 +209,8 @@ def main(argv: list[str] | None = None) -> int:
 
     plain_times: list[float] = []
     pgo_times: list[float] = []
-    speedup = None
+    tiered_times: list[float] = []
+    speedup = tiered_speedup = None
     if not args.skip_wall:
         pgo_path = os.path.join(os.path.dirname(args.out),
                                 ".vm-pgo-gate.json")
@@ -201,12 +219,14 @@ def main(argv: list[str] | None = None) -> int:
             for _ in range(args.repeats):
                 plain_times.append(sample("plain", pgo_path))
                 pgo_times.append(sample("pgo", pgo_path))
+                tiered_times.append(sample("tiered", pgo_path))
         finally:
             try:
                 os.unlink(pgo_path)
             except OSError:
                 pass
         speedup = min(plain_times) / min(pgo_times)
+        tiered_speedup = min(plain_times) / min(tiered_times)
 
     record = {
         "schema": "repro-vm2-bench/1",
@@ -218,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         "plain_wall_s": [round(t, 4) for t in plain_times],
         "pgo_sink_wall_s": [round(t, 4) for t in pgo_times],
         "speedup": round(speedup, 3) if speedup is not None else None,
+        "tiered_wall_s": [round(t, 4) for t in tiered_times],
+        "tiered_speedup": (round(tiered_speedup, 3)
+                           if tiered_speedup is not None else None),
         "identity_ok": not mismatches,
         **counters,
     }
@@ -243,7 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     verdict = "FAIL" if failures else ("SKIP(wall)" if speedup is None
                                        else "OK")
     wall_note = (f"{min(plain_times):.3f}s -> {min(pgo_times):.3f}s "
-                 f"({speedup:.2f}x)" if speedup is not None
+                 f"({speedup:.2f}x; tiered {min(tiered_times):.3f}s, "
+                 f"{tiered_speedup:.2f}x)" if speedup is not None
                  else "wall gate skipped")
     print(f"{verdict}: {WORKLOAD}@{CONFIG}/{MODEL} {wall_note}; "
           f"counts {'identical' if not mismatches else 'DIFFER'}; "

@@ -168,9 +168,9 @@ class Toolchain:
         return compile_source(source, self.compile_config(config))
 
     def superinst_plan(self) -> "SuperinstPlan | None":
-        """The fusion plan ``options.pgo`` names, or None.  Loaded and
-        validated lazily so a Toolchain without PGO never touches
-        disk."""
+        """The fusion plan ``options.pgo`` names, or None (the VM then
+        tiers hot runs up by entry count).  Loaded and validated lazily
+        so a Toolchain without PGO never touches disk."""
         if self.options.pgo is None:
             return None
         from ..machine.superinst import load_pgo, plan_from_pgo
@@ -182,7 +182,8 @@ class Toolchain:
 
         With ``options.sink`` the allocation-sinking pass rewrites the
         program in place first; with ``options.pgo`` the VM fuses hot
-        blocks from the named profile."""
+        blocks from the named profile, otherwise hot runs by entry
+        count."""
         if self.options.sink:
             from ..postproc.sink import sink_program
             sink_program(compiled.asm)

@@ -60,17 +60,25 @@ def _fmt(pct: float | None) -> str:
     return "-" if pct is None else f"{pct:.0f}%"
 
 
+def _columns(rows: dict[str, WorkloadRow]) -> tuple[str, ...]:
+    """The table columns the rows were measured under (a config subset
+    renders only its own columns)."""
+    return tuple(c for c in _COLS
+                 if any(c in row.cells for row in rows.values()))
+
+
 def render_slowdown_table(rows: dict[str, WorkloadRow], table_key: str,
                           title: str) -> str:
     """Render one of T1/T2/T3 with paper values alongside."""
     paper = PAPER[table_key]
+    cols = _columns(rows)
     lines = [title, f"{'':10s} " + " ".join(
-        f"{_COL_TITLES[c]:>22s}" for c in _COLS)]
+        f"{_COL_TITLES[c]:>22s}" for c in cols)]
     lines.append(f"{'':10s} " + " ".join(
-        f"{'paper / measured':>22s}" for _ in _COLS))
+        f"{'paper / measured':>22s}" for _ in cols))
     for name, row in rows.items():
         cells = []
-        for col in _COLS:
+        for col in cols:
             measured = row.slowdown_pct(col)
             ref = paper.get(name, {}).get(col)
             cells.append(f"{_fmt(ref):>9s} / {measured:7.1f}%")
@@ -83,11 +91,12 @@ def render_size_table(rows: dict[str, WorkloadRow]) -> str:
     """T4: static object-code expansion (instructions, excluding
     libraries — ours are builtins, so excluded by construction)."""
     paper = PAPER["t4_size"]
+    cols = _columns(rows)
     lines = ["T4: SPARC object code expansion (paper / measured)",
-             f"{'':10s} " + " ".join(f"{_COL_TITLES[c]:>22s}" for c in _COLS)]
+             f"{'':10s} " + " ".join(f"{_COL_TITLES[c]:>22s}" for c in cols)]
     for name, row in rows.items():
         cells = []
-        for col in _COLS:
+        for col in cols:
             measured = row.slowdown_pct(col, metric="code_size")
             ref = paper.get(name, {}).get(col)
             cells.append(f"{_fmt(ref):>9s} / {measured:7.1f}%")

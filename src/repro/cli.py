@@ -11,8 +11,9 @@
                        [--stdin FILE] [--dump-asm] file.c
         Compile and execute on the simulated machine; print the program
         output and a run summary.  ``--sink`` runs the escape-analysis
-        allocation-sinking pass; ``--pgo`` fuses hot blocks from a
-        repro-vmprof-pgo/1 profile into superinstructions.
+        allocation-sinking pass.  Hot runs fuse into superinstructions
+        by entry count; ``--pgo`` fuses a fixed set of hot blocks from a
+        repro-vmprof-pgo/1 profile instead.
 
     python -m repro bench [--model ss10] [--workloads w1,w2,...]
                           [--workers N] [--cache-dir DIR]
@@ -222,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "on every cell")
     p.add_argument("--pgo", default=None, metavar="FILE",
                    help="replay a repro-vmprof-pgo/1 profile: fuse its "
-                        "hot blocks into superinstructions")
+                        "hot blocks into superinstructions (default: "
+                        "hot runs fuse by entry count)")
     add_report_flags(p, json_schema="repro-bench/1")
     add_obs_flags(p)
     add_cache_flags(p)

@@ -1,16 +1,38 @@
-"""Profile-guided superinstructions: fuse hot straight-line MInst
-sequences into single dispatched closures.
+"""Superinstructions: fuse hot straight-line MInst sequences into
+single dispatched closures.
 
 The threaded-code interpreter (``vm.py``) pays a fixed per-instruction
 toll: one dict-free loop iteration (count, budget check, dispatch) plus
-one closure call per MInst.  For the hot inner blocks that vmprof
-identifies, that toll dominates — the arithmetic inside the closures is
-cheap compared to the dispatch around them.  A *superinstruction*
-collapses a straight-line run of fusable instructions within one hot
-basic block into a single ``exec``-compiled closure: registers are
-cached in Python locals across the run, loads/stores keep their
+one closure call per MInst.  For hot inner blocks that toll dominates —
+the arithmetic inside the closures is cheap compared to the dispatch
+around them.  A *superinstruction* collapses a straight-line run of
+fusable instructions into a single ``exec``-compiled closure: registers
+are cached in Python locals across the run, loads/stores keep their
 page-cache fast path inline, and the loop dispatches once for the whole
 run.
+
+Which runs fuse
+---------------
+
+* **Tiered (the default).**  A VM built with ``superinst=None`` and no
+  profile attached installs a counting trigger at the head of every
+  candidate run (every block counts as hot).  The trigger runs the
+  plain closure until the run has been entered
+  :data:`TIER_THRESHOLD` times, then compiles the run, replaces itself
+  with the fused closure and runs it.  Cold code is never compiled, and
+  the compile cost is paid inside ``VM.run`` only where entries repay it.
+* **A fixed plan** (``--pgo``): a ``repro-vmprof-pgo/1`` envelope
+  (emitted by ``repro.obs`` from a profiled run, or by
+  ``VMProfile.to_pgo``) names each basic block's cycle share; the plan
+  takes the top-N blocks above a minimum share and fuses their runs
+  eagerly at link time.  The plan's digest salts result-cache keys so
+  PGO'd runs never alias unPGO'd cache entries.
+* **The unfused reference**: an empty ``SuperinstPlan(frozenset())``
+  fuses nothing.  Fusion is also off whenever ``gc_interval`` is
+  nonzero (the asynchronous-collection trigger must observe every
+  instruction boundary, and batching counter updates would shift which
+  instructions collections land on), and a profiled VM without a plan
+  stays unfused so its per-instruction attribution stays exact.
 
 A run may contain conditional branches as *early exits*: the fused
 closure evaluates the condition inline, and on a taken branch writes
@@ -22,17 +44,15 @@ collection can run inside them, and the collector must see the true
 register file — locals cached in a fused closure would be invisible
 roots.
 
-Counts stay bit-identical by construction:
+Exactness
+---------
+
+A fused closure is observationally equivalent to the per-instruction
+loop — same counts, registers, memory and error, on every path:
 
 * every fusable op has a static model cost, and branch taken/not-taken
   costs are settled on the path actually executed, so instruction and
   cycle totals equal the unfused sums exactly;
-* the instruction budget is checked once per *segment* (the
-  unconditional stretch up to and including the next possible exit):
-  a segment's constituents execute unconditionally once it is entered,
-  so the unfused loop raises within the segment iff the fused check
-  trips; the counter is left at ``budget + 1`` either way and the same
-  :class:`~repro.machine.vm.VMError` escapes;
 * runs never span branch landing sites (the instruction after a
   *targeted* label — one some branch actually names), so control can
   never jump into the middle of a fused region.  Fall-through-only
@@ -40,16 +60,15 @@ Counts stay bit-identical by construction:
   lets a whole loop (header test, body, step block, backward jump)
   fuse into one closure whose backward branch iterates *inside* the
   closure with registers still cached in locals;
-* fusion is disabled entirely when ``gc_interval`` is nonzero: the
-  asynchronous-collection trigger must observe every instruction
-  boundary, and batching counter updates would shift which instructions
-  collections land on.
-
-Selection is profile-guided: a ``repro-vmprof-pgo/1`` envelope (emitted
-by ``repro.obs`` from a profiled run, or by ``VMProfile.to_pgo``) names
-each basic block's cycle share; the plan takes the top-N blocks above a
-minimum share.  The plan's digest salts result-cache keys so PGO'd runs
-never alias unPGO'd cache entries.
+* nothing inside a fused closure raises.  Wherever the unfused loop
+  could stop partway — the budget running out inside a segment (the
+  unconditional stretch up to the next possible exit), an unmapped or
+  page-crossing ``ld``/``st``, a ``div``/``mod`` by zero — the closure
+  *falls back*: it writes the registers back, settles the counters for
+  the constituents that executed, and leaves the rest to the plain
+  closures, which count, check the budget and raise on exactly the
+  instruction they would have unfused.  One budget check per segment
+  decides whether the segment may run fused to its end.
 """
 
 from __future__ import annotations
@@ -59,14 +78,25 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ..gc.memory import MemoryFault
 from ..obs.vmprof import PGO_SCHEMA
-from .asm import ALU_OPS, MInst, UNARY_OPS
+from .asm import ALU_OPS, BRANCH_OPS, MInst, UNARY_OPS
 from .vm import ALU_FUNCS, UNARY_FUNCS, VMError, _MASK, _RET_PC
 
 # Runs shorter than this are not worth a fused closure: the single
 # saved dispatch would not cover the writeback bookkeeping.
 MIN_RUN = 2
+
+# Tiered fusion compiles a run on its TIER_THRESHOLD-th entry.  On a
+# 2-core x86-64 host (CPython 3.11) compiling one run costs about 1 ms
+# (0.6-1.8 ms; 36-156 runs tier up per paper-matrix cell at 200), while
+# fusion saves on the order of 100 ns per instruction executed: a
+# straight-line run repays its compile only after hundreds of entries,
+# a run that loops inside its closure much sooner.  Over the 20
+# paper-matrix cells, thresholds 50 to 400 ran within 5% of one another
+# and 1500 ran 17% slower; 200 also keeps one-off compiles out of short
+# programs (no run of 40 generated fuzz programs, 5 configs each,
+# reached 50 entries).
+TIER_THRESHOLD = 200
 
 # Default selection knobs: top-N blocks by cycles, ignoring blocks
 # below a minimum share of total cycles (cold blocks would bloat
@@ -169,6 +199,8 @@ class SuperinstStats:
 # fuse as early exits; jmp/ret terminate a run.
 _NO_CODE_OPS = frozenset(("nop", "keepsafe"))
 _EXIT_OPS = frozenset(("bz", "bnz", "jmp", "ret"))
+# ALU ops whose semantic function can raise (division by zero).
+_RAISING_OPS = frozenset(("div", "mod"))
 
 # ALU/unary ops whose semantics are inlined as expressions; the rest
 # (div/mod/signed compares/shifts with sign handling) call the bound
@@ -198,15 +230,16 @@ _INLINE_UNARY = {
 }
 
 
+# Ops that fuse whatever their operands.
+_ALWAYS_FUSABLE = (_NO_CODE_OPS | ALU_OPS | UNARY_OPS
+                   | frozenset(("li", "mov", "ld", "st", "ret")))
+
+
 def _fusable(vm, inst: MInst, labels: dict[str, int]) -> bool:
     op = inst.op
-    if op in _NO_CODE_OPS or op == "li" or op == "mov":
+    if op in _ALWAYS_FUSABLE:
         return True
-    if op in ALU_OPS or op in UNARY_OPS:
-        return True
-    if op == "ld" or op == "st" or op == "ret":
-        return True
-    if op == "bz" or op == "bnz" or op == "jmp":
+    if op in BRANCH_OPS:
         # Only with a resolvable target: an undefined label must keep
         # its raise-on-execute closure.
         return inst.symbol in labels
@@ -218,11 +251,12 @@ def _fusable(vm, inst: MInst, labels: dict[str, int]) -> bool:
 
 
 def _find_runs(vm, name: str, insts: list[MInst],
-               labels: dict[str, int], plan: SuperinstPlan):
+               labels: dict[str, int], hot=None):
     """Maximal fusable runs starting in hot blocks: straight-line code
     plus conditional-branch early exits, terminated by calls, jmp, ret,
     or anything unfusable — and never containing a branch-entry point
-    strictly inside.
+    strictly inside.  ``hot`` holds the (function, block) pairs a run
+    may start in; None marks every block hot (tiered fusion).
 
     Only *targeted* labels (those some branch names) are entry points;
     a fall-through-only label is reachable solely from the instruction
@@ -233,9 +267,7 @@ def _find_runs(vm, name: str, insts: list[MInst],
     then targets the run's own start and loops in place.  An open run
     also continues through the cold fall-through stretch after such a
     label: it executes exactly as often as the hot code above it."""
-    hot = plan.blocks
-    targeted = {inst.symbol for inst in insts
-                if inst.op in ("bz", "bnz", "jmp")}
+    targeted = {inst.symbol for inst in insts if inst.op in BRANCH_OPS}
     runs: list[tuple[int, int, str]] = []
     run_block = "entry"
     cur_block = "entry"
@@ -261,7 +293,7 @@ def _find_runs(vm, name: str, insts: list[MInst],
             start = -1
             continue
         if start < 0:
-            if (name, cur_block) in hot:
+            if hot is None or (name, cur_block) in hot:
                 start = i
                 run_block = cur_block
             continue
@@ -275,9 +307,11 @@ def _find_runs(vm, name: str, insts: list[MInst],
 
 
 def _compile_run(vm, insts: list[MInst], start: int, end: int,
-                 labels: dict[str, int]) -> tuple:
-    """exec-compile insts[start..end] into one closure.  Returns
-    (closure, n_insts, cycles)."""
+                 labels: dict[str, int], leader) -> tuple:
+    """exec-compile insts[start..end] into one closure.  ``leader`` is
+    the per-instruction closure of insts[start], which the fused
+    closure falls back to when it cannot finish the leader itself.
+    Returns (closure, n_insts, cycles)."""
     model = vm.model
     env: dict[str, Any] = {
         "_R": vm.regs,
@@ -285,8 +319,7 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
         "_PG": vm.memory._pages,
         "_ERR": VMError,
         "_FB": int.from_bytes,
-        "_LD": _make_slow_load(vm),
-        "_STO": _make_slow_store(vm),
+        "_L": leader,
     }
     bound: dict[int, str] = {}
 
@@ -355,29 +388,55 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
     # Self-loop runs keep the instruction/cycle counters in locals for
     # the closure's lifetime and settle ``_ST`` only when leaving: no
     # call can occur inside a run, so nothing else observes the shared
-    # counters while the closure iterates.  (At a budget raise the
-    # counter is settled to ``budget + 1``; the cycle counter's partial
-    # state is unobservable — no RunResult is built on a VMError.)
+    # counters while the closure iterates.
     ic = "_ic" if has_self else "_ST[0]"
     if has_self:
         loads.append("    _ic = _ST[0]")
         loads.append("    _cy = _ST[1]")
 
-    def emit_check(through: int) -> None:
-        """Guard the unconditional segment ending at index ``through``:
-        once entered, everything up to there executes, so one check
-        against the segment's final count raises iff the per-
-        instruction loop would have raised inside it (leaving the
-        counter at budget + 1 either way)."""
+    def exit_lines(i: int, extra_cycles: int, target: str,
+                   indent: str) -> list[str]:
+        """Leave the run counted through constituent ``i`` (an exit
+        taken with ``extra_cycles``, or the fall-through path so far):
+        write the registers back, settle the counters for exactly the
+        constituents executed, and return ``target``."""
+        out = [f"{indent}_R[{reg!r}] = {known[reg]}"
+               for reg in (full_written if has_self else sorted(written))]
+        if has_self:
+            out.append(f"{indent}_ST[0] = _ic + {i - start}")
+            out.append(f"{indent}_ST[1] = _cy + {cycles + extra_cycles}")
+        else:
+            if i > start:
+                out.append(f"{indent}_ST[0] += {i - start}")
+            if cycles + extra_cycles:
+                out.append(f"{indent}_ST[1] += {cycles + extra_cycles}")
+        out.append(f"{indent}return {target}")
+        return out
+
+    def fallback_lines(k: int, indent: str) -> list[str]:
+        """Fall back to per-instruction execution at constituent ``k``,
+        which has not executed yet.  Past the leader, leave the run
+        before ``k``: the loop then counts ``k``, checks the budget and
+        runs its plain closure exactly as unfused code would.  The
+        leader was already counted (by the loop, or by the back edge
+        of an in-closure loop), so run its plain closure here."""
+        if k > start:
+            return exit_lines(k - 1, 0, str(k), indent)
+        return exit_lines(start, 0, f"_L({start})", indent)
+
+    def emit_check(i: int, through: int) -> None:
+        """Guard the unconditional segment from ``i`` through
+        ``through``: if running it to its end could exceed the budget,
+        fall back to per-instruction execution at ``i``, so the budget
+        raise (or a fault before it) happens on the exact instruction
+        it would unfused."""
         nonlocal guarded
         e = through - start
         if e <= guarded:
             return
         guarded = e
         body.append(f"    if {ic} + {e} > {budget}:")
-        body.append(f"        _ST[0] = {budget + 1}")
-        body.append("        raise _ERR('instruction budget exceeded "
-                    "(runaway program?)')")
+        body.extend(fallback_lines(i, " " * 8))
 
     def seg_end(frm: int) -> int:
         for j in range(frm, end + 1):
@@ -387,39 +446,29 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
 
     def emit_exit(i: int, extra_cycles: int, target: int,
                   indent: str) -> None:
-        """Settle counters, then leave the run (or, for a branch back
-        to the run's own start, loop in place with locals intact)."""
+        """Take an exit after constituent ``i`` — or, for a branch back
+        to the run's own start, loop in place with locals intact."""
         if target == start:
-            # Self-loop: count and budget-check the next iteration's
-            # leader (the external loop would have done both), keep
-            # the register cache, and restart the body.
+            # Self-loop: count the next iteration's leader as the loop
+            # would; if that exceeds the budget, leave through the loop
+            # so it raises with every register and counter settled.
+            body.append(f"{indent}if _ic + {i - start + 1} > {budget}:")
+            body.extend(exit_lines(i, extra_cycles, str(start),
+                                   indent + "    "))
             body.append(f"{indent}_ic += {i - start + 1}")
-            body.append(f"{indent}if _ic > {budget}:")
-            body.append(f"{indent}    _ST[0] = {budget + 1}")
-            body.append(f"{indent}    raise _ERR('instruction budget "
-                        "exceeded (runaway program?)')")
             body.append(f"{indent}_cy += {cycles + extra_cycles}")
             body.append(f"{indent}continue")
             return
-        for reg in (full_written if has_self else sorted(written)):
-            body.append(f"{indent}_R[{reg!r}] = {known[reg]}")
-        if has_self:
-            body.append(f"{indent}_ST[0] = _ic + {i - start}")
-            body.append(f"{indent}_ST[1] = _cy + {cycles + extra_cycles}")
-        else:
-            if i > start:
-                body.append(f"{indent}_ST[0] += {i - start}")
-            body.append(f"{indent}_ST[1] += {cycles + extra_cycles}")
-        body.append(f"{indent}return {target}")
+        body.extend(exit_lines(i, extra_cycles, str(target), indent))
 
-    cycles = 0  # static cost of the fall-through path so far
+    cycles = 0  # static cost of the fall-through path before constituent i
     tmp = 0
     for i in range(start, end + 1):
         inst = insts[i]
         op = inst.op
         # Guard the whole segment ahead (through its terminating exit);
         # an exit op itself only needs to be guarded through i.
-        emit_check(i if op in _EXIT_OPS else seg_end(i))
+        emit_check(i, i if op in _EXIT_OPS else seg_end(i))
         if op == "bz" or op == "bnz":
             cond = rd(inst.rs1)
             taken = model.cycles_for(op, taken=True)
@@ -438,10 +487,11 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
             emit_exit(i, model.cycles_for(op), _RET_PC, " " * 4)
             cycles += model.cycles_for(op)
             continue
-        cycles += model.cycles_for(op)
+        cost = model.cycles_for(op)
         if op in _NO_CODE_OPS or op == "label":
             # Zero cycles, no code; counts one instruction by position
             # (the unfused loop dispatches its op_skip closure once).
+            cycles += cost
             continue
         if op == "li":
             val = (inst.imm or 0) & _MASK
@@ -462,10 +512,19 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
                 b = str((inst.imm or 0) & _MASK)
             tmpl = _INLINE_RR.get(op)
             if tmpl is not None:
-                expr = tmpl.format(a=a, b=b)
+                body.append(f"    {wr(inst.rd)} = {tmpl.format(a=a, b=b)}")
+            elif op in _RAISING_OPS:
+                # The semantic function raises before assigning: fall
+                # back so the plain closure raises from the same state.
+                fault = fallback_lines(i, " " * 8)
+                body.append("    try:")
+                body.append(f"        {wr(inst.rd)} = "
+                            f"{bind(ALU_FUNCS[op])}({a}, {b})")
+                body.append("    except _ERR:")
+                body.extend(fault)
             else:
-                expr = f"{bind(ALU_FUNCS[op])}({a}, {b})"
-            body.append(f"    {wr(inst.rd)} = {expr}")
+                body.append(f"    {wr(inst.rd)} = "
+                            f"{bind(ALU_FUNCS[op])}({a}, {b})")
         elif op in UNARY_OPS:
             a = rd(inst.rs1)
             tmpl = _INLINE_UNARY.get(op)
@@ -474,44 +533,34 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
             else:
                 expr = f"{bind(UNARY_FUNCS[op])}({a})"
             body.append(f"    {wr(inst.rd)} = {expr}")
-        elif op == "ld":
+        elif op == "ld" or op == "st":
+            # Only the page-cache fast path is inlined.  An unmapped or
+            # page-crossing access falls back to the plain closure,
+            # which takes the slow path and raises any fault itself.
             base = rd(inst.rs1)
             idx = rd(inst.rs2) if inst.rs2 else str(inst.imm or 0)
+            val = rd(inst.rd) if op == "st" else ""
             w = inst.width
             t = tmp = tmp + 1
             body.append(f"    _a{t} = ({base} + {idx}) & 4294967295")
             body.append(f"    _o{t} = _a{t} & 4095")
             body.append(f"    _p{t} = _PG.get(_a{t} >> 12)")
-            dst = wr(inst.rd)
-            if w == 4:
-                body.append(f"    if _p{t} is None or _o{t} > 4092:")
-                body.append(f"        {dst} = _LD(_a{t}, 4, False)")
-                body.append(f"    else:")
-                body.append(f"        {dst} = "
-                            f"_FB(_p{t}[_o{t}:_o{t} + 4], 'little')")
+            cross = f" or _o{t} > {4096 - w}" if w > 1 else ""
+            body.append(f"    if _p{t} is None{cross}:")
+            body.extend(fallback_lines(i, " " * 8))
+            window = f"_p{t}[_o{t}:_o{t} + {w}]"
+            if op == "st":
+                vmask = (1 << (8 * w)) - 1
+                body.append(f"    {window} = "
+                            f"(({val}) & {vmask}).to_bytes({w}, 'little')")
+            elif w == 4:
+                body.append(f"    {wr(inst.rd)} = _FB({window}, 'little')")
             else:
-                body.append(f"    if _p{t} is None or _o{t} + {w} > 4096:")
-                body.append(f"        {dst} = _LD(_a{t}, {w}, {inst.signed})")
-                body.append(f"    else:")
-                body.append(f"        {dst} = _FB(_p{t}[_o{t}:_o{t} + {w}], "
-                            f"'little', signed={inst.signed}) & 4294967295")
-        elif op == "st":
-            val = rd(inst.rd)
-            base = rd(inst.rs1)
-            idx = rd(inst.rs2) if inst.rs2 else str(inst.imm or 0)
-            w = inst.width
-            vmask = (1 << (8 * w)) - 1
-            t = tmp = tmp + 1
-            body.append(f"    _a{t} = ({base} + {idx}) & 4294967295")
-            body.append(f"    _o{t} = _a{t} & 4095")
-            body.append(f"    _p{t} = _PG.get(_a{t} >> 12)")
-            body.append(f"    if _p{t} is None or _o{t} + {w} > 4096:")
-            body.append(f"        _STO(_a{t}, {val}, {w})")
-            body.append(f"    else:")
-            body.append(f"        _p{t}[_o{t}:_o{t} + {w}] = "
-                        f"(({val}) & {vmask}).to_bytes({w}, 'little')")
+                body.append(f"    {wr(inst.rd)} = _FB({window}, 'little', "
+                            f"signed={inst.signed}) & 4294967295")
         else:  # pragma: no cover - guarded by _fusable
             raise VMError(f"cannot fuse {op!r}")
+        cycles += cost
 
     n_insts = end - start + 1
     if insts[end].op != "jmp" and insts[end].op != "ret":
@@ -526,28 +575,6 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
     return ns["_super"], n_insts, cycles
 
 
-def _make_slow_load(vm):
-    mem = vm.memory
-
-    def _ld(a, width, signed):
-        try:
-            return mem.load(a, width, signed) & _MASK
-        except MemoryFault:
-            raise VMError(f"load fault at 0x{a:08x}") from None
-    return _ld
-
-
-def _make_slow_store(vm):
-    mem = vm.memory
-
-    def _st(a, value, width):
-        try:
-            mem.store(a, value, width)
-        except MemoryFault:
-            raise VMError(f"store fault at 0x{a:08x}") from None
-    return _st
-
-
 def fuse_function(vm, name: str, insts: list[MInst],
                   labels: dict[str, int], ops: list,
                   plan: SuperinstPlan) -> list[FusedRun]:
@@ -555,8 +582,39 @@ def fuse_function(vm, name: str, insts: list[MInst],
     compiled closure list ``ops``; returns the installed runs (the
     profiler uses them to attribute fused cycles back to constituents)."""
     fused: list[FusedRun] = []
-    for start, end, block in _find_runs(vm, name, insts, labels, plan):
-        closure, n_insts, cycles = _compile_run(vm, insts, start, end, labels)
+    for start, end, block in _find_runs(vm, name, insts, labels,
+                                        plan.blocks):
+        closure, n_insts, cycles = _compile_run(vm, insts, start, end,
+                                                labels, ops[start])
         ops[start] = closure
         fused.append(FusedRun(start, end, block, n_insts, cycles))
     return fused
+
+
+def tier_function(vm, name: str, insts: list[MInst],
+                  labels: dict[str, int], ops: list,
+                  stats: SuperinstStats) -> None:
+    """Install an entry-counting trigger at the head of every fusable
+    run of ``name`` in ``ops``.  A run entered :data:`TIER_THRESHOLD`
+    times is compiled, replaces its trigger, and is counted in
+    ``stats``; colder runs are never compiled."""
+    for start, end, block in _find_runs(vm, name, insts, labels):
+        ops[start] = _tier_trigger(vm, name, insts, labels, ops,
+                                   start, end, block, stats)
+
+
+def _tier_trigger(vm, name, insts, labels, ops, start, end, block, stats):
+    plain = ops[start]
+    left = TIER_THRESHOLD
+
+    def trigger(pc):
+        nonlocal left
+        left -= 1
+        if left:
+            return plain(pc)
+        closure, n_insts, cycles = _compile_run(vm, insts, start, end,
+                                                labels, plain)
+        ops[start] = closure
+        stats.add(name, (FusedRun(start, end, block, n_insts, cycles),))
+        return closure(pc)
+    return trigger

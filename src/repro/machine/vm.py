@@ -135,8 +135,9 @@ class VM:
                  superinst=None):
         self.program = program
         self.model = model
-        # Optional profile-guided fusion plan (machine.superinst
-        # .SuperinstPlan); applied at closure-compile time below.
+        # Superinstruction fusion (machine.superinst): None tiers hot
+        # runs up by entry count, a SuperinstPlan fuses its blocks at
+        # closure-compile time below, and an empty plan is unfused.
         self.superinst = superinst
         self.superinst_stats = None
         self.gc = collector if collector is not None else Collector()
@@ -237,22 +238,32 @@ class VM:
 
     def _compile_all(self) -> None:
         self._ops: dict[str, list] = {}
-        fuse = None
+        fuse = tier = None
         plan = self.superinst
         # Fusion is incompatible with the asynchronous-collection
         # trigger: gc_interval must observe every instruction boundary,
         # so a nonzero interval disables superinstructions outright
-        # rather than shifting where collections land.
-        if plan is not None and plan.blocks and not self.gc_interval:
-            from .superinst import SuperinstStats, fuse_function
+        # rather than shifting where collections land.  Without a plan
+        # (and without a profile, whose shims attribute per
+        # instruction) hot runs tier up by entry count; an explicit
+        # plan fuses its blocks now, and an empty plan fuses nothing.
+        tiered = plan is None and self._profile is None
+        if not self.gc_interval and (tiered or plan):
+            from .superinst import SuperinstStats, fuse_function, tier_function
             self.superinst_stats = SuperinstStats()
-            fuse = fuse_function
+            if tiered:
+                tier = tier_function
+            else:
+                fuse = fuse_function
         for name, insts in self.code.items():
             ops = self._compile_function(insts, self.labels[name])
             fused = ()
             if fuse is not None:
                 fused = fuse(self, name, insts, self.labels[name], ops, plan)
                 self.superinst_stats.add(name, fused)
+            elif tier is not None:
+                tier(self, name, insts, self.labels[name], ops,
+                     self.superinst_stats)
             if self._profile is not None:
                 ops = self._wrap_profiled(name, insts, ops, fused)
             self._ops[name] = ops

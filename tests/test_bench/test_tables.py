@@ -92,3 +92,39 @@ class TestRendering:
             "miniawk", {"O": 100, "O_safe": 105, "g": 140, "g_checked": 300})
         text = render_slowdown_table(rows, "t2_ss10", "T2")
         assert "gawk" in text
+
+
+class TestConfigSubset:
+    """A bench over a config subset renders only the measured columns."""
+
+    @pytest.fixture
+    def subset_rows(self):
+        return {"cordtest": make_row("cordtest", {"O": 1000, "g": 1560},
+                                     {"O": 100, "g": 169})}
+
+    def test_slowdown_table_renders_only_measured_columns(self, subset_rows):
+        text = render_slowdown_table(subset_rows, "t2_ss10", "T2")
+        assert "-g" in text and "56.0%" in text
+        assert "safe" not in text and "checked" not in text
+
+    def test_size_table_renders_only_measured_columns(self, subset_rows):
+        text = render_size_table(subset_rows)
+        assert "69.0%" in text
+        assert "safe" not in text and "checked" not in text
+
+    def test_bench_envelope_for_a_subset(self, monkeypatch):
+        # LoadSpec's default bench subset, on one tiny program.
+        from repro.api import Toolchain, envelopes
+        from repro.api.build import bench_envelope
+        from repro.bench import harness
+        from repro.workloads import WorkloadSpec
+        monkeypatch.setattr(harness, "WORKLOADS", {
+            "tiny": WorkloadSpec("tiny", "tiny.c", "synthetic")})
+        monkeypatch.setattr(harness, "load_workload", lambda name: (
+            "int main(void) { int i; int s = 0;"
+            " for (i = 0; i < 50; i++) s += i; return s & 0x7F; }"))
+        rows = Toolchain(model="ss10").bench(("tiny",), configs=("O", "g"))
+        doc = bench_envelope(rows, "ss10")
+        assert envelopes.validate(doc).schema == "repro-bench/1"
+        assert set(doc["cells"]["tiny"]) == {"O", "g"}
+        assert "-g" in doc["table"] and "safe" not in doc["table"]

@@ -1,5 +1,5 @@
-"""Superinstruction tests: plan selection, persisted profiles, and the
-bit-identity guarantees fusion must uphold."""
+"""Superinstruction tests: plan selection, persisted profiles, tiered
+fusion, and the bit-identity guarantees fusion must uphold."""
 
 import json
 
@@ -8,8 +8,10 @@ import pytest
 from repro.exec.cache import ResultCache
 from repro.machine import CompileConfig, VM, compile_source
 from repro.machine.models import MODELS
+from repro.machine import superinst
 from repro.machine.superinst import (
-    SuperinstPlan, load_pgo, plan_from_pgo, plan_from_profile, save_pgo,
+    TIER_THRESHOLD, SuperinstPlan, load_pgo, plan_from_pgo,
+    plan_from_profile, save_pgo,
 )
 from repro.machine.vm import VMError
 from repro.obs.vmprof import PGO_SCHEMA, VMProfile
@@ -32,6 +34,33 @@ int main(void) {
     return r & 0xFF;
 }
 """
+
+
+# The explicit unfused reference: an empty plan fuses nothing, whereas
+# ``superinst=None`` tiers hot runs up by entry count.
+UNFUSED = SuperinstPlan(frozenset())
+
+# Dereferences NULL after 400 hot calls: the fault lands inside a fused
+# run once ``get`` has tiered up.
+NULL_DEREF = """
+int get(int *p, int i) { return p[i & 3] + i; }
+int main(void) {
+    int buf[4];
+    int k;
+    int acc = 0;
+    buf[0] = 1; buf[1] = 2; buf[2] = 3; buf[3] = 4;
+    for (k = 0; k < 400; k++) acc = (acc + get(buf, k)) & 0xFFFF;
+    acc = acc + get(0, 0);
+    return acc;
+}
+"""
+
+
+def fuse_every_block(asm) -> SuperinstPlan:
+    return SuperinstPlan(frozenset(
+        (name, block) for name, mf in asm.functions.items()
+        for block in ["entry"] + [i.symbol for i in mf.insts
+                                  if i.op == "label"]))
 
 
 def run_key(result):
@@ -108,17 +137,25 @@ class TestPlan:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("model_key", ("ss2", "ss10", "p90"))
-    def test_fused_run_is_bit_identical(self, model_key):
+    @staticmethod
+    def assert_bit_identical(model_key, plan):
         model = MODELS[model_key]
         compiled = compile_source(PROGRAM, CompileConfig.named("O", model))
-        _, plan = profiled_plan(model_key=model_key)
-        base = VM(compiled.asm, model).run()
+        base = VM(compiled.asm, model, superinst=UNFUSED).run()
         fused_vm = VM(compiled.asm, model, superinst=plan)
         fused = fused_vm.run()
         assert fused_vm.superinst_stats is not None
         assert fused_vm.superinst_stats.runs > 0
         assert run_key(fused) == run_key(base)
+
+    @pytest.mark.parametrize("model_key", ("ss2", "ss10", "p90"))
+    def test_fused_run_is_bit_identical(self, model_key):
+        self.assert_bit_identical(model_key,
+                                  profiled_plan(model_key=model_key)[1])
+
+    @pytest.mark.parametrize("model_key", ("ss2", "ss10", "p90"))
+    def test_tiered_run_is_bit_identical(self, model_key):
+        self.assert_bit_identical(model_key, None)
 
     def test_profiler_invariants_hold_under_fusion(self):
         compiled, plan = profiled_plan()
@@ -128,19 +165,27 @@ class TestBitIdentity:
         assert profile.total_cycles == result.cycles
         assert profile.total_instructions == result.instructions
 
-    def test_gc_interval_disables_fusion(self):
+    @staticmethod
+    def assert_gc_interval_unfused(plan):
         # The async-collection trigger must see every instruction
         # boundary; fusion batches counter updates, so it turns off.
-        compiled, plan = profiled_plan()
+        compiled = compile_source(PROGRAM, CompileConfig.named("O"))
         vm = VM(compiled.asm, MODELS["ss10"], superinst=plan, gc_interval=64)
-        base = VM(compiled.asm, MODELS["ss10"], gc_interval=64).run()
+        base = VM(compiled.asm, MODELS["ss10"], superinst=UNFUSED,
+                  gc_interval=64).run()
         fused = vm.run()
         assert vm.superinst_stats is None
         assert run_key(fused) == run_key(base)
 
-    @pytest.mark.parametrize("budget", (10, 997, 12345))
-    def test_budget_raise_is_equivalent(self, budget):
-        compiled, plan = profiled_plan()
+    def test_gc_interval_disables_fusion(self):
+        self.assert_gc_interval_unfused(profiled_plan()[1])
+
+    def test_gc_interval_disables_tiering(self):
+        self.assert_gc_interval_unfused(None)
+
+    @staticmethod
+    def assert_budget_raise_equivalent(plan, budget):
+        compiled = compile_source(PROGRAM, CompileConfig.named("O"))
         model = MODELS["ss10"]
 
         def run_with(superinst):
@@ -149,14 +194,21 @@ class TestBitIdentity:
             try:
                 vm.run()
             except VMError as exc:
-                return str(exc), vm._st[0]
-            return None, vm._st[0]
+                return str(exc), vm._st[0], vm._st[1], dict(vm.regs)
+            return None, vm._st[0], vm._st[1], dict(vm.regs)
 
-        base_err, base_count = run_with(None)
-        fused_err, fused_count = run_with(plan)
-        assert base_err is not None, "budget chosen too large for the test"
-        assert fused_err == base_err
-        assert fused_count == base_count == budget + 1
+        base = run_with(UNFUSED)
+        assert base[0] is not None, "budget chosen too large for the test"
+        assert base[1] == budget + 1
+        assert run_with(plan) == base
+
+    @pytest.mark.parametrize("budget", (10, 997, 12345))
+    def test_budget_raise_is_equivalent(self, budget):
+        self.assert_budget_raise_equivalent(profiled_plan()[1], budget)
+
+    @pytest.mark.parametrize("budget", (10, 997, 12345))
+    def test_tiered_budget_raise_is_equivalent(self, budget):
+        self.assert_budget_raise_equivalent(None, budget)
 
 
 class TestCacheSalting:
@@ -185,3 +237,127 @@ class TestCacheSalting:
         b = SuperinstPlan(frozenset({("main", "entry")}))
         assert (cache.key_for(PROGRAM, config, pgo=a.digest())
                 != cache.key_for(PROGRAM, config, pgo=b.digest()))
+
+
+class TestTiered:
+    """``superinst=None``: runs fuse on their TIER_THRESHOLD-th entry."""
+
+    def test_empty_plan_is_unfused(self):
+        compiled = compile_source(PROGRAM, CompileConfig.named("O"))
+        vm = VM(compiled.asm, MODELS["ss10"], superinst=UNFUSED)
+        vm.run()
+        assert vm.superinst_stats is None
+
+    def test_profile_disables_tiering(self):
+        compiled = compile_source(PROGRAM, CompileConfig.named("O"))
+        profile = VMProfile()
+        vm = VM(compiled.asm, MODELS["ss10"], profile=profile)
+        result = vm.run()
+        assert vm.superinst_stats is None
+        assert profile.total_cycles == result.cycles
+        assert profile.total_instructions == result.instructions
+
+    def test_only_runs_reaching_the_threshold_compile(self, monkeypatch):
+        compiled = compile_source(PROGRAM, CompileConfig.named("O"))
+        model = MODELS["ss10"]
+
+        # Count every run's entries with tiering held off.
+        monkeypatch.setattr(superinst, "TIER_THRESHOLD", 1 << 60)
+        vm = VM(compiled.asm, model)
+        entries = {}
+        for name, insts in vm.code.items():
+            ops = vm._ops[name]
+            for start, _, _ in superinst._find_runs(vm, name, insts,
+                                                    vm.labels[name]):
+                entries[name, start] = 0
+
+                def count(pc, _op=ops[start], _key=(name, start)):
+                    entries[_key] += 1
+                    return _op(pc)
+                ops[start] = count
+        vm.run()
+        assert vm.superinst_stats.runs == 0
+        hot = {k for k, n in entries.items() if n >= TIER_THRESHOLD}
+        assert hot and hot != set(entries), "PROGRAM needs hot and cold runs"
+
+        monkeypatch.setattr(superinst, "TIER_THRESHOLD", TIER_THRESHOLD)
+        compiled_runs = []
+        real = superinst._compile_run
+
+        def spy(vm, insts, start, end, labels, leader):
+            name = next(n for n, code in vm.code.items() if code is insts)
+            compiled_runs.append((name, start))
+            return real(vm, insts, start, end, labels, leader)
+        monkeypatch.setattr(superinst, "_compile_run", spy)
+        vm = VM(compiled.asm, model)
+        vm.run()
+        assert sorted(compiled_runs) == sorted(hot)
+        stats = vm.superinst_stats
+        assert stats.runs == len(hot)
+        assert stats.per_function == {
+            name: sum(1 for n, _ in hot if n == name)
+            for name in {n for n, _ in hot}}
+
+    def test_tiered_runs_survive_a_second_run(self):
+        compiled = compile_source(PROGRAM, CompileConfig.named("O"))
+        model = MODELS["ss10"]
+        base_vm = VM(compiled.asm, model, superinst=UNFUSED)
+        vm = VM(compiled.asm, model)
+        first = (vm.run(), base_vm.run())
+        second = (vm.run(), base_vm.run())
+        for tiered, base in (first, second):
+            assert run_key(tiered) == run_key(base)
+
+
+class TestFaultExactness:
+    """A fault or budget raise inside a fused run must stop on the same
+    instruction, with the same message, registers and counters, as the
+    per-instruction loop."""
+
+    @staticmethod
+    def state(compiled, superinst, budget):
+        vm = VM(compiled.asm, MODELS["ss10"], superinst=superinst,
+                max_instructions=budget)
+        try:
+            vm.run()
+            err = None
+        except VMError as exc:
+            err = str(exc)
+        return err, vm._st[0], vm._st[1], dict(vm.regs)
+
+    def test_fault_budget_window(self):
+        compiled = compile_source(NULL_DEREF, CompileConfig.named("O"))
+        err, fault_at, _, _ = self.state(compiled, UNFUSED, 10 ** 7)
+        assert err == "load fault at 0x00000000"
+        for superinst in (fuse_every_block(compiled.asm), None):
+            for budget in range(fault_at - 3, fault_at + 6):
+                expect = self.state(compiled, UNFUSED, budget)
+                got = self.state(compiled, superinst, budget)
+                assert got == expect, (superinst, budget)
+
+    def test_fault_lands_in_fused_code(self):
+        # Guard the test's premise: ``get`` is fused by both paths.
+        compiled = compile_source(NULL_DEREF, CompileConfig.named("O"))
+        for superinst in (fuse_every_block(compiled.asm), None):
+            vm = VM(compiled.asm, MODELS["ss10"], superinst=superinst)
+            with pytest.raises(VMError, match="load fault"):
+                vm.run()
+            assert vm.superinst_stats.per_function.get("get", 0) > 0
+
+    def test_division_by_zero_is_exact(self):
+        src = """
+        int q(int a, int b) { return (a * 3 + 1) / b; }
+        int main(void) {
+            int k;
+            int acc = 0;
+            for (k = 1; k < 300; k++) acc = (acc + q(k, k)) & 0xFFFF;
+            return acc + q(1, 0);
+        }
+        """
+        compiled = compile_source(src, CompileConfig.named("O"))
+        err, fault_at, _, _ = self.state(compiled, UNFUSED, 10 ** 7)
+        assert err == "integer division by zero in div"
+        for superinst in (fuse_every_block(compiled.asm), None):
+            for budget in (fault_at - 1, fault_at, 10 ** 7):
+                assert (self.state(compiled, superinst, budget)
+                        == self.state(compiled, UNFUSED, budget))
