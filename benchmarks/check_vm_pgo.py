@@ -8,7 +8,9 @@ Three checks on the paper's hottest workload (cfrac at ``O``/ss10):
   (``superinst=None``) must each be bit-identical to the plain run —
   the explicit unfused reference, an empty plan — in every observable
   (exit code, instructions, cycles, output, collections, pointer
-  checks); a PGO+sink run must keep exit code and output and must not
+  checks); so must cfrac at ``g_checked`` under the tiered default,
+  where the pointer checks fuse, including the per-kind check
+  counters; a PGO+sink run must keep exit code and output and must not
   *increase* collections.  Violations exit 2: a count mismatch is a
   correctness bug, not a perf regression.
 * **allocation sinking payoff** — the ``scratch`` workload (short-lived
@@ -55,6 +57,7 @@ from repro.workloads import load_workload  # noqa: E402
 WORKLOAD = "cfrac"
 SINK_WORKLOAD = "scratch"
 CONFIG = "O"
+CHECKED_CONFIG = "g_checked"
 MODEL = "ss10"
 # The unfused reference: superinst=None would tier hot runs up.
 UNFUSED = SuperinstPlan(frozenset())
@@ -65,10 +68,17 @@ def run_key(result) -> tuple:
             result.output, result.collections, result.checks)
 
 
-def compile_workload(name: str):
+def compile_workload(name: str, config: str = CONFIG):
     model = MODELS[MODEL]
     return compile_source(load_workload(name),
-                          CompileConfig.named(CONFIG, model)), model
+                          CompileConfig.named(config, model)), model
+
+
+def checked_key(vm, result) -> tuple:
+    """run_key plus the collector's per-kind check counters."""
+    stats = vm.gc.stats
+    return run_key(result) + (stats.same_obj_checks, stats.incr_checks,
+                              stats.base_checks)
 
 
 def make_profile(tmp_pgo: str) -> None:
@@ -129,6 +139,17 @@ def check_identity() -> tuple[list[str], dict]:
             f"{WORKLOAD}: tiered observables differ from plain: "
             f"{run_key(tiered)} != {run_key(base)}")
 
+    checked, _ = compile_workload(WORKLOAD, CHECKED_CONFIG)
+    keys = {}
+    for label, superinst in (("plain", UNFUSED), ("tiered", None)):
+        vm = VM(checked.asm, model, superinst=superinst)
+        keys[label] = checked_key(vm, vm.run())
+    checked_identity = keys["tiered"] == keys["plain"]
+    if not checked_identity:
+        mismatches.append(
+            f"{WORKLOAD}@{CHECKED_CONFIG}: tiered observables differ from "
+            f"plain: {keys['tiered']} != {keys['plain']}")
+
     sunk_prog, _ = compile_workload(WORKLOAD)
     sink_stats = sink_program(sunk_prog.asm)
     both = VM(sunk_prog.asm, model, superinst=plan).run()
@@ -146,6 +167,7 @@ def check_identity() -> tuple[list[str], dict]:
         "plan_digest": plan.digest(),
         "tiered_runs": tiered_vm.superinst_stats.runs,
         "tiered_identity_ok": tiered_identity,
+        "checked_identity_ok": checked_identity,
         "base_cycles": base.cycles,
         "base_collections": base.collections,
         "pgo_sink_cycles": both.cycles,

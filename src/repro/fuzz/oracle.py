@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from ..cfront.errors import CFrontError
 from ..exec.engine import run_sharded
 from ..gc.collector import Collector, GCCheckError, GCStats
-from ..gc.memory import MemoryFault
 from ..machine.driver import CompileConfig, CONFIGS, compile_source
 from ..machine.models import MODELS
 from ..machine.vm import VM, VMError
@@ -142,7 +141,7 @@ def compile_and_run(source: str, config_name: str, model_name: str = "ss10",
         result = vm.run()
     except GCCheckError as exc:
         return Outcome("check", detail=str(exc), gc_stats=gc.stats.to_dict())
-    except (VMError, MemoryFault) as exc:
+    except VMError as exc:
         return Outcome("fault", detail=str(exc), gc_stats=gc.stats.to_dict())
     return Outcome("ok", result.exit_code, result.output,
                    collections=result.collections,

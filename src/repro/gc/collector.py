@@ -433,9 +433,9 @@ class Collector:
     def _same_obj(self, p: int, q: int) -> int:
         """The check itself, with no stats accounting (``pre_incr`` /
         ``post_incr`` delegate here and attribute to ``incr_checks``)."""
-        q_base = self.heap.base_of(q)
-        if q_base is None:
+        if self.heap.same_object(p, q):
             return p
+        q_base = self.heap.base_of(q)
         p_base = self.heap.base_of(p)
         if p_base is None:
             raise GCCheckError(

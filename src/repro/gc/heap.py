@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .memory import HEAP_BASE, Memory, PAGE_SIZE
-from .pagetable import PageTable
+from .memory import HEAP_BASE, Memory, PAGE_SHIFT, PAGE_SIZE
+from .pagetable import BOTTOM_BITS, BOTTOM_MASK, PageTable
 
 GRANULE = 8
 MAX_SMALL = PAGE_SIZE // 8  # objects above this get dedicated pages
@@ -174,6 +174,34 @@ class Heap:
         if idx is None or not desc.alloc[idx]:
             return None
         return desc.object_base(idx)
+
+    def same_object(self, p: int, q: int) -> bool:
+        """GC_same_obj's test: True when ``q`` is not inside a live heap
+        object, or ``p`` is inside the same one.  Both the collector's
+        check builtins and the VM's fused checks call this, so the test
+        exists once; the lookup of ``q`` is :meth:`base_of` with the
+        two page-table indexations inlined, and ``p`` then only needs a
+        range test against ``q``'s object."""
+        if q >> 32:  # negative or past the 32-bit space: not a heap pointer
+            return True
+        page = q >> PAGE_SHIFT
+        bottom = self.table._top[page >> BOTTOM_BITS]
+        if bottom is None:
+            return True
+        desc = bottom[page & BOTTOM_MASK]
+        if desc is None:
+            return True
+        base = desc.start
+        size = desc.obj_size
+        if desc.large:
+            if not desc.alloc[0] or q >= base + size:
+                return True
+        else:
+            idx = (q - base) // size
+            if idx >= desc.n_objects or not desc.alloc[idx]:
+                return True
+            base += idx * size
+        return base <= p < base + size
 
     def size_of(self, base_addr: int) -> int | None:
         """Rounded size of the live object starting at ``base_addr``."""

@@ -14,9 +14,21 @@ All bulk helpers (``write_bytes``/``read_bytes``/``fill``/
 ``read_cstring``) work a page slice at a time rather than a byte at a
 time: allocation zeroing, string builtins, and conservative root scans
 all sit on these paths.
+
+Beside every mapped page sits a *word view*: ``memoryview(page)
+.cast("I")``, the page seen as 1024 native 32-bit words.  An aligned
+4-byte access is then one index (``words[idx][(addr & 4095) >> 2]``)
+instead of a slice plus ``int.from_bytes``/``to_bytes``.  The view
+shares the page's buffer, so byte and word writes see one another.
+The simulated machine is little-endian, so views exist only on a
+little-endian host; elsewhere ``_words`` stays empty and every access
+takes the byte path.
 """
 
 from __future__ import annotations
+
+import struct
+import sys
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT  # 4 KiB, as in the Boehm collector
@@ -29,6 +41,10 @@ ADDRESS_LIMIT = 1 << ADDRESS_BITS
 STATIC_BASE = 0x0001_0000
 HEAP_BASE = 0x0010_0000
 STACK_TOP = 0x0800_0000
+
+# Native "I" words are the simulated machine's words only on a
+# little-endian host with 4-byte unsigned ints.
+WORD_VIEWS = sys.byteorder == "little" and struct.calcsize("I") == 4
 
 
 class MemoryFault(Exception):
@@ -44,25 +60,35 @@ class Memory:
 
     def __init__(self):
         self._pages: dict[int, bytearray] = {}
+        # Page index -> word view of that page (see the module
+        # docstring); empty on a big-endian host.
+        self._words: dict[int, memoryview] = {}
 
     # -- mapping ----------------------------------------------------------
+
+    def _new_page(self, idx: int) -> bytearray:
+        page = self._pages[idx] = bytearray(PAGE_SIZE)
+        if WORD_VIEWS:
+            self._words[idx] = memoryview(page).cast("I")
+        return page
 
     def map_page(self, addr: int) -> bytearray:
         """Ensure the page containing ``addr`` exists; return it."""
         idx = addr >> PAGE_SHIFT
         page = self._pages.get(idx)
         if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[idx] = page
+            page = self._new_page(idx)
         return page
 
     def map_range(self, start: int, size: int) -> None:
         for idx in range(start >> PAGE_SHIFT, (start + size - 1 >> PAGE_SHIFT) + 1):
             if idx not in self._pages:
-                self._pages[idx] = bytearray(PAGE_SIZE)
+                self._new_page(idx)
 
     def unmap_page(self, addr: int) -> None:
-        self._pages.pop(addr >> PAGE_SHIFT, None)
+        idx = addr >> PAGE_SHIFT
+        self._pages.pop(idx, None)
+        self._words.pop(idx, None)
 
     def is_mapped(self, addr: int) -> bool:
         return (addr >> PAGE_SHIFT) in self._pages

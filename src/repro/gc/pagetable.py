@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from .memory import PAGE_SHIFT
 
-_BOTTOM_BITS = 10
-_BOTTOM_SIZE = 1 << _BOTTOM_BITS
-_TOP_SIZE = 1 << (32 - PAGE_SHIFT - _BOTTOM_BITS)
+BOTTOM_BITS = 10
+BOTTOM_MASK = (1 << BOTTOM_BITS) - 1
+_TOP_SIZE = 1 << (32 - PAGE_SHIFT - BOTTOM_BITS)
 
 
 class PageTable:
@@ -26,10 +26,10 @@ class PageTable:
 
     def register(self, addr: int, descriptor: object) -> None:
         page_idx = addr >> PAGE_SHIFT
-        hi, lo = page_idx >> _BOTTOM_BITS, page_idx & (_BOTTOM_SIZE - 1)
+        hi, lo = page_idx >> BOTTOM_BITS, page_idx & BOTTOM_MASK
         bottom = self._top[hi]
         if bottom is None:
-            bottom = [None] * _BOTTOM_SIZE
+            bottom = [None] * (BOTTOM_MASK + 1)
             self._top[hi] = bottom
         if bottom[lo] is None:
             self.pages += 1
@@ -37,7 +37,7 @@ class PageTable:
 
     def unregister(self, addr: int) -> None:
         page_idx = addr >> PAGE_SHIFT
-        hi, lo = page_idx >> _BOTTOM_BITS, page_idx & (_BOTTOM_SIZE - 1)
+        hi, lo = page_idx >> BOTTOM_BITS, page_idx & BOTTOM_MASK
         bottom = self._top[hi]
         if bottom is not None and bottom[lo] is not None:
             bottom[lo] = None
@@ -48,10 +48,10 @@ class PageTable:
         if addr < 0 or addr >= 1 << 32:
             return None
         page_idx = addr >> PAGE_SHIFT
-        bottom = self._top[page_idx >> _BOTTOM_BITS]
+        bottom = self._top[page_idx >> BOTTOM_BITS]
         if bottom is None:
             return None
-        return bottom[page_idx & (_BOTTOM_SIZE - 1)]
+        return bottom[page_idx & BOTTOM_MASK]
 
     def __contains__(self, addr: int) -> bool:
         return self.lookup(addr) is not None

@@ -8,8 +8,8 @@ the arithmetic inside the closures is cheap compared to the dispatch
 around them.  A *superinstruction* collapses a straight-line run of
 fusable instructions into a single ``exec``-compiled closure: registers
 are cached in Python locals across the run, loads/stores keep their
-page-cache fast path inline, and the loop dispatches once for the whole
-run.
+fast path inline (an aligned word is one index into its page's word
+view), and the loop dispatches once for the whole run.
 
 Which runs fuse
 ---------------
@@ -39,10 +39,21 @@ closure evaluates the condition inline, and on a taken branch writes
 back the registers cached so far, settles the instruction/cycle
 counters for exactly the constituents that executed (branch taken-cost
 included), and returns the branch target.  A trailing ``jmp`` or
-``ret`` fuses the same way.  Calls (compiled or builtin) never fuse: a
-collection can run inside them, and the collector must see the true
-register file — locals cached in a fused closure would be invisible
-roots.
+``ret`` fuses the same way.
+
+Calls fuse only when they are pointer checks.  Compiled calls and
+other builtins end a run: a collection can run inside them, and the
+collector must see the true register file — locals cached in a fused
+closure would be invisible roots.  The checks of ``-g checked`` builds
+(``GC_same_obj``, ``GC_pre_incr``, ``GC_post_incr``, ``GC_base``,
+``GC_check_base``) never allocate, so no collection can run inside
+one; they are inlined: the same-object test is one call to
+``Heap.same_object`` (the function ``Collector.same_obj`` uses), an
+increment's slot is read and written through the page's word view,
+``rv`` is written, and the check's static cycles and GCStats counters
+are settled with the instruction/cycle counters at every exit.  A
+profiled VM keeps them unfused so its shims still count each check
+call site.
 
 Exactness
 ---------
@@ -62,8 +73,10 @@ loop — same counts, registers, memory and error, on every path:
   closure with registers still cached in locals;
 * nothing inside a fused closure raises.  Wherever the unfused loop
   could stop partway — the budget running out inside a segment (the
-  unconditional stretch up to the next possible exit), an unmapped or
-  page-crossing ``ld``/``st``, a ``div``/``mod`` by zero — the closure
+  unconditional stretch up to the next possible exit), an unmapped,
+  page-crossing or unaligned-word ``ld``/``st``, a ``div``/``mod`` by
+  zero, a failing pointer check or an increment of an unmapped or
+  unaligned slot — the closure
   *falls back*: it writes the registers back, settles the counters for
   the constituents that executed, and leaves the rest to the plain
   closures, which count, check the budget and raise on exactly the
@@ -78,9 +91,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from ..gc.memory import WORD_VIEWS
 from ..obs.vmprof import PGO_SCHEMA
-from .asm import ALU_OPS, BRANCH_OPS, MInst, UNARY_OPS
-from .vm import ALU_FUNCS, UNARY_FUNCS, VMError, _MASK, _RET_PC
+from .asm import ALU_OPS, ARG_REGS, BRANCH_OPS, MInst, RV, UNARY_OPS
+from .vm import ALU_FUNCS, VMError, _MASK, _RET_PC, check_cycles
 
 # Runs shorter than this are not worth a fused closure: the single
 # saved dispatch would not cover the writeback bookkeeping.
@@ -193,18 +207,38 @@ class SuperinstStats:
             self.per_function[name] = self.per_function.get(name, 0) + 1
 
 
-# Ops fusable with no per-op state beyond operands.  Calls are excluded
-# (a collection may run inside them); labels are excluded (they delimit
-# blocks and their successor is a branch target).  Conditional branches
-# fuse as early exits; jmp/ret terminate a run.
+# Ops fusable with no per-op state beyond operands.  Calls other than
+# the pointer checks below are excluded (a collection may run inside
+# them); labels are excluded (they delimit blocks and their successor
+# is a branch target).  Conditional branches fuse as early exits;
+# jmp/ret terminate a run.
 _NO_CODE_OPS = frozenset(("nop", "keepsafe"))
 _EXIT_OPS = frozenset(("bz", "bnz", "jmp", "ret"))
-# ALU ops whose semantic function can raise (division by zero).
+# ALU ops whose semantic function can raise (division by zero): they
+# call the bound function from vm.py, preserving error messages.
 _RAISING_OPS = frozenset(("div", "mod"))
 
-# ALU/unary ops whose semantics are inlined as expressions; the rest
-# (div/mod/signed compares/shifts with sign handling) call the bound
-# semantic function from vm.py, preserving error messages exactly.
+# The pointer-check builtins (``obs.vmprof.CHECK_BUILTINS``), which
+# fuse inline, with the GCStats counters each one bumps -- exactly the
+# ones ``Collector.same_obj``/``pre_incr``/``post_incr``/``base``/
+# ``check_base`` bump.  None of them allocates, so no collection can
+# run inside one and the registers cached in locals are never roots
+# anyone else needs to see.
+_CHECK_COUNTERS = {
+    "GC_same_obj": ("checks_performed", "same_obj_checks"),
+    "GC_pre_incr": ("checks_performed", "incr_checks"),
+    "GC_post_incr": ("checks_performed", "incr_checks"),
+    "GC_base": (),
+    "GC_check_base": ("checks_performed", "base_checks"),
+}
+# The increments read and write their slot through a word view, so
+# they fuse only on hosts that have views.
+_FUSED_CHECKS = frozenset(name for name in _CHECK_COUNTERS
+                          if WORD_VIEWS or "incr" not in name)
+
+# Every other ALU/unary op is inlined as an expression.  Signed
+# compares and shifts flip the sign bit (``x ^ 2**31``), which maps
+# signed 32-bit order onto unsigned order, instead of calling _s32.
 _INLINE_RR = {
     "add": "({a} + {b}) & 4294967295",
     "sub": "({a} - {b}) & 4294967295",
@@ -213,9 +247,14 @@ _INLINE_RR = {
     "or": "{a} | {b}",
     "xor": "{a} ^ {b}",
     "shl": "(({a}) << ({b} & 31)) & 4294967295",
+    "shr": "((({a} ^ 2147483648) - 2147483648) >> ({b} & 31)) & 4294967295",
     "srl": "({a}) >> ({b} & 31)",
     "seq": "1 if {a} == {b} else 0",
     "sne": "1 if {a} != {b} else 0",
+    "slt": "1 if ({a} ^ 2147483648) < ({b} ^ 2147483648) else 0",
+    "sle": "1 if ({a} ^ 2147483648) <= ({b} ^ 2147483648) else 0",
+    "sgt": "1 if ({a} ^ 2147483648) > ({b} ^ 2147483648) else 0",
+    "sge": "1 if ({a} ^ 2147483648) >= ({b} ^ 2147483648) else 0",
     "sltu": "1 if {a} < {b} else 0",
     "sleu": "1 if {a} <= {b} else 0",
     "sgtu": "1 if {a} > {b} else 0",
@@ -225,7 +264,9 @@ _INLINE_UNARY = {
     "neg": "(-({a})) & 4294967295",
     "bnot": "(~({a})) & 4294967295",
     "not": "1 if {a} == 0 else 0",
+    "sext8": "((({a} & 255) ^ 128) - 128) & 4294967295",
     "zext8": "({a}) & 255",
+    "sext16": "((({a} & 65535) ^ 32768) - 32768) & 4294967295",
     "zext16": "({a}) & 65535",
 }
 
@@ -247,7 +288,16 @@ def _fusable(vm, inst: MInst, labels: dict[str, int]) -> bool:
         # Likewise only when the symbol resolves.
         return (inst.symbol in vm.global_addr
                 or inst.symbol in vm.func_addr)
+    if op == "call":
+        # A profiled VM keeps the checks unfused: its shims count each
+        # check call site.
+        return inst.symbol in _FUSED_CHECKS and vm._profile is None
     return False
+
+
+def _writes(inst: MInst) -> str | None:
+    """The register ``inst`` writes; a fused check call writes rv."""
+    return RV if inst.op == "call" else inst.register_written()
 
 
 def _find_runs(vm, name: str, insts: list[MInst],
@@ -317,6 +367,10 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
         "_R": vm.regs,
         "_ST": vm._st,
         "_PG": vm.memory._pages,
+        "_W": vm.memory._words,
+        "_GC": vm.gc,
+        "_SO": vm.gc.heap.same_object,
+        "_BO": vm.gc.heap.base_of,
         "_ERR": VMError,
         "_FB": int.from_bytes,
         "_L": leader,
@@ -377,10 +431,22 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
     # write back the full set (identity writes are harmless: the local
     # was preloaded from the dict).
     full_written = sorted({w for i in range(start, end + 1)
-                           if (w := insts[i].register_written())})
+                           if (w := _writes(insts[i]))})
     if has_self:
         for reg in full_written:
             rd(reg)
+
+    # GCStats counters the run's checks bump.  Like the instruction and
+    # cycle counters they are settled at every exit, from the static
+    # count of checks executed so far (``checked``) -- plus, in a
+    # self-loop run, locals carrying the earlier iterations' counts.
+    # Nothing reads them while the closure runs.
+    counters = sorted({f for i in range(start, end + 1)
+                       if insts[i].op == "call"
+                       for f in _CHECK_COUNTERS[insts[i].symbol]})
+    checked: dict[str, int] = {}
+    if has_self:
+        loads.extend(f"    _k_{f} = 0" for f in counters)
 
     budget = vm.max_instructions
     guarded = -1  # additional-instruction count already budget-checked
@@ -402,6 +468,15 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
         constituents executed, and return ``target``."""
         out = [f"{indent}_R[{reg!r}] = {known[reg]}"
                for reg in (full_written if has_self else sorted(written))]
+        settle = []
+        for f in counters:
+            terms = ([f"_k_{f}"] if has_self else []) + (
+                [str(checked[f])] if checked.get(f) else [])
+            if terms:
+                settle.append(f"{indent}_gs.{f} += {' + '.join(terms)}")
+        if settle:
+            out.append(f"{indent}_gs = _GC.stats")
+            out.extend(settle)
         if has_self:
             out.append(f"{indent}_ST[0] = _ic + {i - start}")
             out.append(f"{indent}_ST[1] = _cy + {cycles + extra_cycles}")
@@ -457,6 +532,8 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
                                    indent + "    "))
             body.append(f"{indent}_ic += {i - start + 1}")
             body.append(f"{indent}_cy += {cycles + extra_cycles}")
+            body.extend(f"{indent}_k_{f} += {n}"
+                        for f, n in checked.items())
             body.append(f"{indent}continue")
             return
         body.extend(exit_lines(i, extra_cycles, str(target), indent))
@@ -510,10 +587,7 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
                 b = rd(inst.rs2)
             else:
                 b = str((inst.imm or 0) & _MASK)
-            tmpl = _INLINE_RR.get(op)
-            if tmpl is not None:
-                body.append(f"    {wr(inst.rd)} = {tmpl.format(a=a, b=b)}")
-            elif op in _RAISING_OPS:
+            if op in _RAISING_OPS:
                 # The semantic function raises before assigning: fall
                 # back so the plain closure raises from the same state.
                 fault = fallback_lines(i, " " * 8)
@@ -524,40 +598,85 @@ def _compile_run(vm, insts: list[MInst], start: int, end: int,
                 body.extend(fault)
             else:
                 body.append(f"    {wr(inst.rd)} = "
-                            f"{bind(ALU_FUNCS[op])}({a}, {b})")
+                            f"{_INLINE_RR[op].format(a=a, b=b)}")
         elif op in UNARY_OPS:
             a = rd(inst.rs1)
-            tmpl = _INLINE_UNARY.get(op)
-            if tmpl is not None:
-                expr = tmpl.format(a=a)
-            else:
-                expr = f"{bind(UNARY_FUNCS[op])}({a})"
-            body.append(f"    {wr(inst.rd)} = {expr}")
+            body.append(f"    {wr(inst.rd)} = "
+                        f"{_INLINE_UNARY[op].format(a=a)}")
+        elif op == "call":
+            # A pointer check, inline.  A failing check, or an
+            # increment whose slot is unaligned or unmapped, falls back
+            # to the plain closure, which bumps the counters and raises
+            # exactly as unfused code would.
+            name = inst.symbol
+            p = rd(ARG_REGS[0])
+            one_arg = name == "GC_base" or name == "GC_check_base"
+            q = "" if one_arg else rd(ARG_REGS[1])
+            t = tmp = tmp + 1
+            fault = fallback_lines(i, " " * 8)
+            if name == "GC_same_obj":
+                body.append(f"    if not _SO({p}, {q}):")
+                body.extend(fault)
+                value = p
+            elif name == "GC_base":
+                value = f"_BO({p}) or 0"
+            elif name == "GC_check_base":
+                body.append(f"    _b{t} = _BO({p})")
+                body.append(f"    if _b{t} is not None and _b{t} != {p}:")
+                body.extend(fault)
+                value = p
+            else:  # GC_pre_incr / GC_post_incr: the slot is p, delta q
+                body.append(f"    _w{t} = _W.get({p} >> 12)")
+                body.append(f"    if _w{t} is None or {p} & 3:")
+                body.extend(fault)
+                body.append(f"    _i{t} = ({p} & 4095) >> 2")
+                body.append(f"    _v{t} = _w{t}[_i{t}]")
+                body.append(f"    _n{t} = (_v{t} + {q}) & 4294967295")
+                body.append(f"    if not _SO(_n{t}, _v{t}):")
+                body.extend(fault)
+                body.append(f"    _w{t}[_i{t}] = _n{t}")
+                value = f"_n{t}" if name == "GC_pre_incr" else f"_v{t}"
+            body.append(f"    {wr(RV)} = {value}")
+            for f in _CHECK_COUNTERS[name]:
+                checked[f] = checked.get(f, 0) + 1
+            cost += check_cycles(model, name)
         elif op == "ld" or op == "st":
-            # Only the page-cache fast path is inlined.  An unmapped or
-            # page-crossing access falls back to the plain closure,
-            # which takes the slow path and raises any fault itself.
+            # Only the fast paths are inlined: an aligned word indexes
+            # its page's word view, a narrower access slices the page.
+            # An unmapped, page-crossing or unaligned-word access falls
+            # back to the plain closure, which takes the slow path and
+            # raises any fault itself.
             base = rd(inst.rs1)
             idx = rd(inst.rs2) if inst.rs2 else str(inst.imm or 0)
             val = rd(inst.rd) if op == "st" else ""
             w = inst.width
             t = tmp = tmp + 1
             body.append(f"    _a{t} = ({base} + {idx}) & 4294967295")
-            body.append(f"    _o{t} = _a{t} & 4095")
-            body.append(f"    _p{t} = _PG.get(_a{t} >> 12)")
-            cross = f" or _o{t} > {4096 - w}" if w > 1 else ""
-            body.append(f"    if _p{t} is None{cross}:")
-            body.extend(fallback_lines(i, " " * 8))
-            window = f"_p{t}[_o{t}:_o{t} + {w}]"
-            if op == "st":
-                vmask = (1 << (8 * w)) - 1
-                body.append(f"    {window} = "
-                            f"(({val}) & {vmask}).to_bytes({w}, 'little')")
-            elif w == 4:
-                body.append(f"    {wr(inst.rd)} = _FB({window}, 'little')")
+            if w == 4 and WORD_VIEWS:
+                body.append(f"    _w{t} = _W.get(_a{t} >> 12)")
+                body.append(f"    if _w{t} is None or _a{t} & 3:")
+                body.extend(fallback_lines(i, " " * 8))
+                word = f"_w{t}[(_a{t} & 4095) >> 2]"
+                if op == "st":
+                    body.append(f"    {word} = ({val}) & 4294967295")
+                else:
+                    body.append(f"    {wr(inst.rd)} = {word}")
             else:
-                body.append(f"    {wr(inst.rd)} = _FB({window}, 'little', "
-                            f"signed={inst.signed}) & 4294967295")
+                body.append(f"    _o{t} = _a{t} & 4095")
+                body.append(f"    _p{t} = _PG.get(_a{t} >> 12)")
+                cross = f" or _o{t} > {4096 - w}" if w > 1 else ""
+                body.append(f"    if _p{t} is None{cross}:")
+                body.extend(fallback_lines(i, " " * 8))
+                window = f"_p{t}[_o{t}:_o{t} + {w}]"
+                if op == "st":
+                    vmask = (1 << (8 * w)) - 1
+                    body.append(f"    {window} = (({val}) & {vmask})"
+                                f".to_bytes({w}, 'little')")
+                else:
+                    # A 4-byte load here (no word views) ignores
+                    # ``signed``: the 32-bit mask makes it irrelevant.
+                    body.append(f"    {wr(inst.rd)} = _FB({window}, 'little', "
+                                f"signed={inst.signed}) & 4294967295")
         else:  # pragma: no cover - guarded by _fusable
             raise VMError(f"cannot fuse {op!r}")
         cycles += cost

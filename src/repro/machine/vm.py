@@ -382,6 +382,7 @@ class VM:
         st = self._st
         mem = self.memory
         pages = mem._pages
+        words = mem._words
         model = self.model
         vm = self
 
@@ -457,10 +458,16 @@ class VM:
             return op
 
         def make_ld_word(rd, rs1, rs2, imm, cost):
-            # The dominant load: aligned-in-page 4-byte word.  Falls
-            # back to Memory.load for page-crossing or unmapped access.
+            # The dominant load: an aligned word is one index into its
+            # page's word view.  Other words take the page slice, and
+            # page-crossing or unmapped ones Memory.load.
             def op(pc):
                 a = (regs[rs1] + (regs[rs2] if rs2 else imm)) & _MASK
+                view = words.get(a >> 12)
+                if view is not None and not a & 3:
+                    regs[rd] = view[(a & 0xFFF) >> 2]
+                    st[1] += cost
+                    return pc + 1
                 off = a & 0xFFF
                 page = pages.get(a >> 12)
                 if page is None or off > 0xFFC:
@@ -489,6 +496,28 @@ class VM:
                 else:
                     regs[rd] = int.from_bytes(
                         page[off:off + width], "little", signed=signed) & _MASK
+                st[1] += cost
+                return pc + 1
+            return op
+
+        def make_st_word(rd, rs1, rs2, imm, cost):
+            # Mirror of make_ld_word.
+            def op(pc):
+                a = (regs[rs1] + (regs[rs2] if rs2 else imm)) & _MASK
+                view = words.get(a >> 12)
+                if view is not None and not a & 3:
+                    view[(a & 0xFFF) >> 2] = regs[rd] & _MASK
+                    st[1] += cost
+                    return pc + 1
+                off = a & 0xFFF
+                page = pages.get(a >> 12)
+                if page is None or off > 0xFFC:
+                    try:
+                        mem.store(a, regs[rd], 4)
+                    except MemoryFault:
+                        raise VMError(f"store fault at 0x{a:08x}") from None
+                else:
+                    page[off:off + 4] = (regs[rd] & _MASK).to_bytes(4, "little")
                 st[1] += cost
                 return pc + 1
             return op
@@ -544,8 +573,11 @@ class VM:
             a0, a1, a2, a3, a4, a5 = ARG_REGS
             def op(pc):
                 st[1] += cost
-                value, extra = fn(vm, [regs[a0], regs[a1], regs[a2],
-                                       regs[a3], regs[a4], regs[a5]])
+                try:
+                    value, extra = fn(vm, [regs[a0], regs[a1], regs[a2],
+                                           regs[a3], regs[a4], regs[a5]])
+                except MemoryFault as exc:
+                    raise VMError(str(exc)) from None
                 regs[RV] = value & _MASK
                 st[1] += extra
                 return pc + 1
@@ -576,7 +608,10 @@ class VM:
                 builtin = BUILTINS.get(name)
                 st[1] += cost
                 if builtin is not None:
-                    value, extra = builtin(vm, [regs[r] for r in ARG_REGS])
+                    try:
+                        value, extra = builtin(vm, [regs[r] for r in ARG_REGS])
+                    except MemoryFault as exc:
+                        raise VMError(str(exc)) from None
                     regs[RV] = value & _MASK
                     st[1] += extra
                 else:
@@ -639,8 +674,12 @@ class VM:
                     ops.append(make_ld(inst.rd, inst.rs1, inst.rs2,
                                        inst.imm or 0, inst.width, inst.signed, cost))
             elif op == "st":
-                ops.append(make_st(inst.rd, inst.rs1, inst.rs2,
-                                   inst.imm or 0, inst.width, cost))
+                if inst.width == 4:
+                    ops.append(make_st_word(inst.rd, inst.rs1, inst.rs2,
+                                            inst.imm or 0, cost))
+                else:
+                    ops.append(make_st(inst.rd, inst.rs1, inst.rs2,
+                                       inst.imm or 0, inst.width, cost))
             elif op == "jmp":
                 # A taken branch resumes at the instruction *after* the
                 # label (the decode loop did pc = label; pc += 1).
@@ -773,7 +812,10 @@ class VM:
 
     def _run_builtin(self, name: str, fn) -> None:
         args = [self.regs[r] for r in ARG_REGS]
-        value, extra_cycles = fn(self, args)
+        try:
+            value, extra_cycles = fn(self, args)
+        except MemoryFault as exc:
+            raise VMError(str(exc)) from None
         self.regs[RV] = value & _MASK
         self._st[1] += extra_cycles
 
@@ -860,26 +902,38 @@ def _bi_gc_collect(vm: VM, args):
     return 0, 200
 
 
+def check_cycles(model: MachineModel, name: str) -> int:
+    """Extra cycles a pointer-check builtin charges beyond its call
+    (the fused checks of ``machine.superinst`` charge the same): the
+    page-table lookup, plus the slot's load and store for the
+    increments."""
+    if name == "GC_pre_incr" or name == "GC_post_incr":
+        return model.builtin_check_cycles + 2 * model.load_cycles
+    return model.builtin_check_cycles
+
+
 def _bi_same_obj(vm: VM, args):
-    return vm.gc.same_obj(args[0], args[1]), vm.model.builtin_check_cycles
+    return (vm.gc.same_obj(args[0], args[1]),
+            check_cycles(vm.model, "GC_same_obj"))
 
 
 def _bi_pre_incr(vm: VM, args):
     return (vm.gc.pre_incr(args[0], _signed(args[1])),
-            vm.model.builtin_check_cycles + 2 * vm.model.load_cycles)
+            check_cycles(vm.model, "GC_pre_incr"))
 
 
 def _bi_post_incr(vm: VM, args):
     return (vm.gc.post_incr(args[0], _signed(args[1])),
-            vm.model.builtin_check_cycles + 2 * vm.model.load_cycles)
+            check_cycles(vm.model, "GC_post_incr"))
 
 
 def _bi_gc_base(vm: VM, args):
-    return vm.gc.base(args[0]) or 0, vm.model.builtin_check_cycles
+    return vm.gc.base(args[0]) or 0, check_cycles(vm.model, "GC_base")
 
 
 def _bi_gc_check_base(vm: VM, args):
-    return vm.gc.check_base(args[0]), vm.model.builtin_check_cycles
+    return (vm.gc.check_base(args[0]),
+            check_cycles(vm.model, "GC_check_base"))
 
 
 def _bi_keep_live_identity(vm: VM, args):

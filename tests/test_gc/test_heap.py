@@ -151,3 +151,27 @@ class TestProperties:
             assert heap.base_of(addr) == addr
             assert heap.base_of(addr + size - 1) == addr
             assert heap.base_of(addr + size) == addr  # extra byte
+
+
+class TestSameObject:
+    """``same_object`` is GC_same_obj's test: it must agree with two
+    ``base_of`` lookups on every pair of addresses."""
+
+    @staticmethod
+    def reference(heap, p, q):
+        q_base = heap.base_of(q)
+        return q_base is None or heap.base_of(p) == q_base
+
+    def test_agrees_with_base_of_around_live_and_freed_objects(self, heap):
+        small = [heap.allocate(20) for _ in range(6)]
+        large = heap.allocate(3 * PAGE_SIZE)
+        desc = heap.descriptor_for(small[2])
+        heap.free_object(desc, desc.object_index(small[2]))
+        probes = {0, 1, -4, 1 << 32, heap.base - 1}
+        for a in small + [large]:
+            for d in (-9, -1, 0, 1, 7, 23, 24, 25, PAGE_SIZE, 3 * PAGE_SIZE):
+                probes.add(a + d)
+        for q in probes:
+            for p in probes:
+                assert heap.same_object(p, q) == self.reference(heap, p, q), (
+                    hex(p), hex(q))

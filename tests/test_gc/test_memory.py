@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.gc import Memory, MemoryFault, PAGE_SIZE
+from repro.gc.memory import WORD_VIEWS
 
 
 @pytest.fixture
@@ -70,6 +71,41 @@ class TestFaults:
     def test_unmap(self, mem):
         mem.unmap_page(0x1000)
         assert not mem.is_mapped(0x1000)
+
+
+@pytest.mark.skipif(not WORD_VIEWS, reason="no word views on this host")
+class TestWordViews:
+    """Every mapped page has a word view sharing its buffer."""
+
+    def test_every_mapped_page_has_a_view(self, mem):
+        mem.map_page(0x9000)
+        assert set(mem._words) == set(mem._pages)
+
+    def test_byte_write_visible_through_view(self, mem):
+        mem.store(0x1005, 0xAB, 1)
+        assert mem._words[1][1] == 0xAB00
+
+    def test_view_write_visible_as_bytes(self, mem):
+        mem._words[2][3] = 0x04030201
+        assert [mem.load(0x200C + i, 1) for i in range(4)] == [1, 2, 3, 4]
+
+    def test_unaligned_and_page_crossing_words_beside_views(self, mem):
+        low, high = mem._words[1], mem._words[2]
+        low[2] = 0xCAFEBABE
+        mem.store_word(0x100B, 0x11223344)  # overlaps word 2's top byte
+        assert mem.load_word(0x100B) == 0x11223344
+        assert low[2] == 0x44FEBABE
+        edge = 0x1000 + PAGE_SIZE - 2
+        mem.store_word(edge, 0xDEADBEEF)
+        assert mem.load_word(edge) == 0xDEADBEEF
+        assert low[1023] == 0xBEEF0000
+        assert high[0] & 0xFFFF == 0xDEAD
+
+    def test_unmap_drops_the_view(self, mem):
+        mem.unmap_page(0x1000)
+        assert 1 not in mem._words
+        mem.map_page(0x1000)
+        assert mem._words[1][0] == 0
 
 
 class TestBulkHelpers:

@@ -1,5 +1,9 @@
 """CLI tests (python -m repro ...)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -109,6 +113,22 @@ class TestCcCommand:
         captured = capsys.readouterr()
         assert rc == 3
         assert "pointer check failed" in captured.err
+
+    def test_builtin_memory_fault_is_a_typed_error(self, tmp_path):
+        # strlen(NULL) faults inside the builtin: the CLI must report
+        # one error line, as for an ld from the same address, and no
+        # traceback.
+        path = tmp_path / "nullstr.c"
+        path.write_text("int main(){char *p=0; return strlen(p);}\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "cc", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr == "error: unmapped address: 0x00000000\n"
+        assert "Traceback" not in proc.stdout + proc.stderr
 
     def test_stdin_file(self, tmp_path, capsys):
         src = tmp_path / "cat.c"

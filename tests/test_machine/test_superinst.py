@@ -13,8 +13,10 @@ from repro.machine.superinst import (
     TIER_THRESHOLD, SuperinstPlan, load_pgo, plan_from_pgo,
     plan_from_profile, save_pgo,
 )
-from repro.machine.vm import VMError
-from repro.obs.vmprof import PGO_SCHEMA, VMProfile
+from repro.gc import GCCheckError
+from repro.machine.asm import ALU_OPS, UNARY_OPS
+from repro.machine.vm import ALU_FUNCS, UNARY_FUNCS, VMError
+from repro.obs.vmprof import CHECK_BUILTINS, PGO_SCHEMA, VMProfile
 
 # Two hot loops (a leaf kernel called in a loop) — enough structure for
 # real fusion: self-looping inner blocks, calls that must not fuse, and
@@ -344,6 +346,33 @@ class TestFaultExactness:
                 vm.run()
             assert vm.superinst_stats.per_function.get("get", 0) > 0
 
+    def test_unaligned_and_page_crossing_words_are_exact(self):
+        # Word accesses off the word views' fast path: unaligned within
+        # a page, and straddling the boundary of a large heap object's
+        # two pages.  Unfused they take the byte path; fused they fall
+        # back to it.
+        src = """
+        int main(void) {
+            char *buf = (char *) GC_malloc(8192);
+            int k;
+            int acc = 0;
+            for (k = 0; k < 300; k++) {
+                int off = (k & 7) + ((k & 8) ? 4088 : 0);
+                int *q = (int *) (buf + off);
+                *q = (*q + k * 65537) & 0x7FFFFFFF;
+                acc = (acc + *q) & 0xFFFFFF;
+            }
+            return acc;
+        }
+        """
+        compiled = compile_source(src, CompileConfig.named("O"))
+        base = VM(compiled.asm, MODELS["ss10"], superinst=UNFUSED).run()
+        assert base.exit_code != 0
+        for superinst in (fuse_every_block(compiled.asm), None):
+            vm = VM(compiled.asm, MODELS["ss10"], superinst=superinst)
+            assert run_key(vm.run()) == run_key(base)
+            assert vm.superinst_stats.runs > 0
+
     def test_division_by_zero_is_exact(self):
         src = """
         int q(int a, int b) { return (a * 3 + 1) / b; }
@@ -361,3 +390,192 @@ class TestFaultExactness:
             for budget in (fault_at - 1, fault_at, 10 ** 7):
                 assert (self.state(compiled, superinst, budget)
                         == self.state(compiled, UNFUSED, budget))
+
+
+# A checked hot loop: ``a[i]`` becomes GC_same_obj, ``p++`` becomes
+# GC_post_incr, and ``bases`` calls GC_base/GC_check_base directly.
+CHECKED = """
+extern void *GC_check_base(void *p);
+int sum(int *a, int n) {
+    int *p;
+    int s = 0;
+    for (p = a; p < a + n; p++) s = (s + *p) & 0xFFFFFF;
+    return s;
+}
+int bases(int **v, int n) {
+    int i;
+    int c = 0;
+    for (i = 0; i < n; i++) {
+        if (GC_base(v[i] + 1) == v[i]) c++;
+        GC_check_base(v[i]);
+    }
+    return c;
+}
+int main(void) {
+    int *a = (int *) GC_malloc(64 * sizeof(int));
+    int **v = (int **) GC_malloc(8 * sizeof(int *));
+    int i, k;
+    int r = 0;
+    for (i = 0; i < 64; i++) a[i] = i * 7;
+    for (i = 0; i < 8; i++) v[i] = (int *) GC_malloc(16);
+    for (k = 0; k < 300; k++) {
+        r = (r + sum(a, 64) + k) & 0xFFFF;
+        r = (r + bases(v, 8)) & 0xFFFF;
+    }
+    printf("%d\\n", r);
+    return r & 0xFF;
+}
+"""
+
+# After 300 good calls, ``walk`` runs off the end of its array: the
+# failing check lands in a fused run (GC_same_obj for the index, or
+# GC_post_incr for the pointer walk).
+WALK_INDEX = """
+int walk(int *a, int n) {
+    int i;
+    int s = 0;
+    for (i = 0; i < n; i++) s = (s + a[i]) & 0xFFFF;
+    return s;
+}
+int main(void) {
+    int *a = (int *) GC_malloc(16 * sizeof(int));
+    int k;
+    int r = 0;
+    for (k = 0; k < 300; k++) r = (r + walk(a, 16) + k) & 0xFFFF;
+    return r + walk(a, 40);
+}
+"""
+WALK_POINTER = WALK_INDEX.replace(
+    "for (i = 0; i < n; i++) s = (s + a[i]) & 0xFFFF;",
+    "int *p = a; for (i = 0; i < n; i++) { s = (s + *p) & 0xFFFF; p++; }")
+
+# GC_pre_incr on a mapped slot 300 times, then on the unmapped slot 0.
+BUMP_UNMAPPED = """
+extern void *GC_pre_incr(void *p, int n);
+int *bump(int **slot) { return (int *) GC_pre_incr(slot, 4); }
+int main(void) {
+    int *a = (int *) GC_malloc(16);
+    int *p;
+    int k;
+    int r = 0;
+    for (k = 0; k < 300; k++) { p = a; r = r + (bump(&p) - a); }
+    bump((int **) 0);
+    return r;
+}
+"""
+
+
+def check_counts(stats) -> tuple:
+    return (stats.checks_performed, stats.same_obj_checks,
+            stats.incr_checks, stats.base_checks)
+
+
+class TestFusedChecks:
+    """Pointer checks fuse inline, with exact counts and failures."""
+
+    def test_checked_hot_loop_fuses_its_check(self, monkeypatch):
+        # Premise: the tiered default really runs GC_same_obj inside a
+        # fused run (not at a run boundary, as before checks fused).
+        compiled = compile_source(WALK_INDEX.replace("walk(a, 40)", "0"),
+                                  CompileConfig.named("g_checked"))
+        covered = []
+        real = superinst._compile_run
+
+        def spy(vm, insts, start, end, labels, leader):
+            covered.extend(insts[i].symbol for i in range(start, end + 1)
+                           if insts[i].op == "call")
+            return real(vm, insts, start, end, labels, leader)
+        monkeypatch.setattr(superinst, "_compile_run", spy)
+        VM(compiled.asm, MODELS["ss10"]).run()
+        assert "GC_same_obj" in covered
+
+    @pytest.mark.parametrize("model_key", ("ss2", "ss10", "p90"))
+    def test_checked_run_is_bit_identical(self, model_key):
+        model = MODELS[model_key]
+        compiled = compile_source(CHECKED,
+                                  CompileConfig.named("g_checked", model))
+        runs = {}
+        for label, plan in (("unfused", UNFUSED), ("tiered", None),
+                            ("every", fuse_every_block(compiled.asm))):
+            vm = VM(compiled.asm, model, superinst=plan)
+            result = vm.run()
+            runs[label] = run_key(result) + check_counts(vm.gc.stats)
+            if plan is not UNFUSED:
+                assert vm.superinst_stats.runs > 0
+        assert runs["unfused"][5] > 0
+        assert all(runs["unfused"][6:]), "CHECKED must use every kind"
+        assert runs["tiered"] == runs["unfused"]
+        assert runs["every"] == runs["unfused"]
+
+    @staticmethod
+    def failure_state(compiled, superinst, budget=10 ** 7):
+        vm = VM(compiled.asm, MODELS["ss10"], superinst=superinst,
+                max_instructions=budget)
+        try:
+            vm.run()
+            err = None
+        except (GCCheckError, VMError) as exc:
+            err = f"{type(exc).__name__}: {exc}"
+        stats = {k: v for k, v in vm.gc.stats.to_dict().items()
+                 if not k.endswith("_ns") and "histogram" not in k}
+        return err, list(vm._st), dict(vm.regs), stats
+
+    @pytest.mark.parametrize("source, config, message", (
+        (WALK_INDEX, "g_checked", "GCCheckError: pointer arithmetic"),
+        (WALK_POINTER, "g_checked", "GCCheckError: pointer arithmetic"),
+        (BUMP_UNMAPPED, "O", "VMError: unmapped address: 0x00000000"),
+    ), ids=("same_obj", "post_incr", "pre_incr_unmapped"))
+    def test_failure_is_exact(self, source, config, message):
+        compiled = compile_source(source, CompileConfig.named(config))
+        expect = self.failure_state(compiled, UNFUSED)
+        assert expect[0].startswith(message)
+        for superinst in (None, fuse_every_block(compiled.asm)):
+            assert self.failure_state(compiled, superinst) == expect
+
+    def test_budget_raise_in_checked_run_is_exact(self):
+        compiled = compile_source(CHECKED, CompileConfig.named("g_checked"))
+        _, (total, _), _, _ = self.failure_state(compiled, UNFUSED)
+        every = fuse_every_block(compiled.asm)
+        for budget in (total // 3, total // 2 + 1, total - 7):
+            expect = self.failure_state(compiled, UNFUSED, budget)
+            assert expect[0].startswith("VMError: instruction budget")
+            for superinst in (None, every):
+                assert (self.failure_state(compiled, superinst, budget)
+                        == expect), (superinst, budget)
+
+    def test_profiled_vm_keeps_checks_unfused(self):
+        # The profiler counts each check call site, so under a plan a
+        # profiled VM fuses around the checks, not through them.
+        compiled = compile_source(CHECKED, CompileConfig.named("g_checked"))
+        profile = VMProfile()
+        vm = VM(compiled.asm, MODELS["ss10"],
+                superinst=fuse_every_block(compiled.asm), profile=profile)
+        result = vm.run()
+        counted = sum(cell[0] for (_, _, _, name), cell
+                      in profile.checks.items() if name != "GC_base")
+        assert counted == result.checks > 0
+
+
+EDGE_VALUES = (0, 1, 31, 32, 0x7FFFFFFF, 0x80000000, 0x80000001,
+               0xFFFFFFFE, 0xFFFFFFFF)
+
+
+class TestInlineTemplates:
+    def test_every_op_is_inlined_or_falls_back(self):
+        assert set(superinst._INLINE_RR) | superinst._RAISING_OPS == ALU_OPS
+        assert set(superinst._INLINE_UNARY) == UNARY_OPS
+        assert set(superinst._CHECK_COUNTERS) == CHECK_BUILTINS
+
+    @pytest.mark.parametrize("op", sorted(superinst._INLINE_RR))
+    def test_binary_template_matches_semantics(self, op):
+        tmpl = superinst._INLINE_RR[op]
+        for a in EDGE_VALUES:
+            for b in EDGE_VALUES:
+                got = eval(tmpl.format(a=a, b=b))
+                assert got == ALU_FUNCS[op](a, b), (op, a, b)
+
+    @pytest.mark.parametrize("op", sorted(superinst._INLINE_UNARY))
+    def test_unary_template_matches_semantics(self, op):
+        tmpl = superinst._INLINE_UNARY[op]
+        for a in EDGE_VALUES:
+            assert eval(tmpl.format(a=a)) == UNARY_FUNCS[op](a), (op, a)

@@ -51,6 +51,21 @@ class TestExecution:
         with pytest.raises(VMError, match="load fault"):
             VM(compiled.asm).run()
 
+    def test_builtin_memory_fault_is_a_vmerror(self):
+        # A fault inside a builtin keeps Memory's message but is typed
+        # like any other VM fault, on all three ways a builtin runs:
+        # a direct call, an indirect call, and a builtin entry point.
+        direct = build("int main(void) { char *p = 0; return strlen(p); }")
+        indirect = build(
+            "int main(void) { int (*f)(char *); f = strlen; "
+            "return f((char *)0); }")
+        for compiled in (direct, indirect):
+            with pytest.raises(VMError,
+                               match=r"^unmapped address: 0x00000000$"):
+                VM(compiled.asm).run()
+        with pytest.raises(VMError, match=r"^unmapped address: 0x00000000$"):
+            VM(direct.asm).run("strlen", (0,))
+
     def test_exit_builtin_stops_immediately(self):
         compiled = build('int main(void) { exit(9); return 1; }')
         assert VM(compiled.asm).run().exit_code == 9
